@@ -79,11 +79,11 @@ void BM_SortRecords(benchmark::State& state) {
 }
 BENCHMARK(BM_SortRecords)->Arg(1024)->Arg(16384);
 
-// Arena-backed overload (DESIGN.md §10): the (prefix, index) scratch comes
-// from pooled blocks instead of the global allocator — after the first
-// iteration the sort path performs zero heap allocations. A/B against
-// BM_SortRecords above (same seed, same shape) measures the allocator's
-// share of the per-iteration sort.
+// Arena-backed overload (DESIGN.md §10): the entry scratch comes from
+// pooled blocks instead of a per-call arena — after the first iteration the
+// sort path performs zero heap allocations. A/B against BM_SortRecords
+// above (same seed, same shape) measures the allocator's share of the
+// per-iteration sort.
 void BM_SortRecordsArena(benchmark::State& state) {
   Rng rng(2);
   KVVec base;
@@ -129,6 +129,97 @@ void BM_SortRecordsStd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SortRecordsStd)->Arg(1024)->Arg(16384);
+
+// Reference: sort_records as it was before the radix kernel — sort
+// (8-byte key prefix, index) pairs by comparison, full compares on prefix
+// ties, one move pass into a second record buffer.
+struct PrefixEntry {
+  uint64_t prefix;
+  uint32_t index;
+};
+
+uint64_t prefix_reference(BytesView key) {
+  uint64_t p = 0;
+  const std::size_t n = key.size() < 8 ? key.size() : 8;
+  for (std::size_t i = 0; i < n; ++i) {
+    p |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
+         << (56 - 8 * i);
+  }
+  return p;
+}
+
+void sort_records_prefix_reference(KVVec& records, bool sort_values) {
+  const std::size_t n = records.size();
+  if (n < 64 || n > UINT32_MAX) {
+    sort_records_reference(records, sort_values);
+    return;
+  }
+
+  std::vector<PrefixEntry> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[i] = PrefixEntry{prefix_reference(records[i].key),
+                           static_cast<uint32_t>(i)};
+  }
+  std::sort(order.begin(), order.end(),
+            [&records, sort_values](const PrefixEntry& a,
+                                    const PrefixEntry& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              const KV& x = records[a.index];
+              const KV& y = records[b.index];
+              int c = x.key.compare(y.key);
+              if (c != 0) return c < 0;
+              if (sort_values) {
+                c = x.value.compare(y.value);
+                if (c != 0) return c < 0;
+              }
+              return a.index < b.index;
+            });
+  KVVec sorted;
+  sorted.reserve(n);
+  for (const PrefixEntry& e : order) {
+    sorted.push_back(std::move(records[e.index]));
+  }
+  records = std::move(sorted);
+}
+
+// A reduce input as the engine sees it: u32 keys (the graph algorithms'
+// node ids), about 8 records per key, random f64 values, in arrival order.
+// Every key group ties on the 8-byte prefix, which is the case the radix
+// kernel was built for; BM_SortRecordsPrefix runs the previous prefix sort
+// on the same input for an in-binary A/B.
+KVVec shuffle_input(int n) {
+  Rng rng(5);
+  KVVec base;
+  base.reserve(static_cast<std::size_t>(n));
+  const uint64_t keys = static_cast<uint64_t>(n / 8 + 1);
+  for (int i = 0; i < n; ++i) {
+    base.emplace_back(u32_key(static_cast<uint32_t>(rng.uniform(keys))),
+                      f64_value(rng.uniform_real(0.0, 1.0)));
+  }
+  return base;
+}
+
+void BM_SortRecordsShuffle(benchmark::State& state) {
+  const KVVec base = shuffle_input(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    KVVec copy = base;
+    sort_records(copy, true);
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SortRecordsShuffle)->Arg(1024)->Arg(16384);
+
+void BM_SortRecordsPrefix(benchmark::State& state) {
+  const KVVec base = shuffle_input(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    KVVec copy = base;
+    sort_records_prefix_reference(copy, true);
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SortRecordsPrefix)->Arg(1024)->Arg(16384);
 
 // Static-data join: the per-record state->static lookup of iterative map
 // (§3.2.2). 16k static records, probed with every key once per iteration, in

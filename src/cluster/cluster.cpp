@@ -76,6 +76,7 @@ const char* fault_instant_name(FaultPoint p) {
     case FaultPoint::kCheckpointWrite: return "fault:checkpoint_write";
     case FaultPoint::kStatePush: return "fault:state_push";
     case FaultPoint::kMigration: return "fault:migration";
+    case FaultPoint::kSpillWrite: return "fault:spill_write";
   }
   return "fault:?";
 }

@@ -28,7 +28,7 @@ void* RecordArena::allocate(std::size_t bytes, std::size_t align) {
   // geometry. Blocks from new[] are max_align-aligned, so offset 0 is fine.
   const std::size_t size = bytes > kBlockBytes ? bytes : kBlockBytes;
   Block b;
-  b.data = std::make_unique<char[]>(size);
+  b.data = std::make_unique_for_overwrite<char[]>(size);
   b.size = size;
   blocks_.push_back(std::move(b));
   total_block_bytes_ += size;

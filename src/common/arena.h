@@ -10,7 +10,7 @@
 // before.
 //
 // RecordArena is the mechanism that takes the global allocator off the hot
-// path: sort_records' (prefix, index) order array — one malloc/free pair per
+// path: sort_records' packed entry array — one malloc/free pair per
 // reduce iteration and per map-side combine today — comes from pooled 64 KiB
 // blocks that survive reset() and are reused every iteration. Blocks charge
 // the budget when first mapped and release it when the arena dies, so the

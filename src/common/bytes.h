@@ -7,7 +7,9 @@
 // net/ and dfs/ byte-accurate.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,18 +45,54 @@ struct KV {
 
 using KVVec = std::vector<KV>;
 
+// Converts an unsigned word between host order and big-endian (the byte
+// order of the fixed-width codecs and of key prefixes). An involution, so
+// the same call loads and stores.
+template <typename U>
+inline U big_endian(U v) {
+  if constexpr (std::endian::native == std::endian::big || sizeof(U) == 1) {
+    return v;
+  } else if constexpr (sizeof(U) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(U) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
 // First 8 bytes of a key as a big-endian integer, zero-padded on the right.
 // Because the codecs are order-preserving, comparing prefixes compares keys:
 // prefix(a) < prefix(b) implies a < b lexicographically (a pad byte only ties
-// with a real 0x00 byte, and ties fall back to a full compare). The sort and
-// join fast paths use this to replace most byte-string compares with one
-// integer compare.
+// with a real 0x00 byte, and ties fall back to the length and then a full
+// compare). The sort and join fast paths use this to replace most
+// byte-string compares with one integer compare. Short keys load in 4/2/1
+// byte pieces, so no length ever goes through a byte loop or a libc call.
 inline uint64_t key_prefix_u64(BytesView key) {
+  const char* d = key.data();
+  const std::size_t n = key.size();
+  if (n >= 8) {
+    uint64_t w;
+    std::memcpy(&w, d, 8);
+    return big_endian(w);
+  }
   uint64_t p = 0;
-  const std::size_t n = key.size() < 8 ? key.size() : 8;
-  for (std::size_t i = 0; i < n; ++i) {
-    p |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
-         << (56 - 8 * i);
+  std::size_t off = 0;
+  if (n & 4) {
+    uint32_t w;
+    std::memcpy(&w, d, 4);
+    p = static_cast<uint64_t>(big_endian(w)) << 32;
+    off = 4;
+  }
+  if (n & 2) {
+    uint16_t w;
+    std::memcpy(&w, d + off, 2);
+    p |= static_cast<uint64_t>(big_endian(w)) << (48 - 8 * off);
+    off += 2;
+  }
+  if (n & 1) {
+    p |= static_cast<uint64_t>(static_cast<unsigned char>(d[off]))
+         << (56 - 8 * off);
   }
   return p;
 }

@@ -11,21 +11,42 @@ void require(bool ok, const char* what) {
   if (!ok) throw FormatError(what);
 }
 
+// Fixed-width big-endian words move whole: one byte swap and one append
+// (encode) or one memcpy (decode), never a loop over bytes. `nbytes` is 4 or
+// 8; the value sits in the low `nbytes` bytes of `v`.
 void put_be(uint64_t v, int nbytes, Bytes& out) {
-  for (int i = nbytes - 1; i >= 0; --i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  const uint64_t be = big_endian(v << (64 - 8 * nbytes));
+  char buf[8];
+  std::memcpy(buf, &be, 8);
+  out.append(buf, static_cast<std::size_t>(nbytes));
 }
 
 uint64_t get_be(BytesView in, std::size_t& pos, int nbytes) {
   require(pos + static_cast<std::size_t>(nbytes) <= in.size(),
           "buffer underflow in fixed-width decode");
-  uint64_t v = 0;
-  for (int i = 0; i < nbytes; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(in[pos + i]);
-  }
+  uint64_t raw = 0;
+  std::memcpy(&raw, in.data() + pos, static_cast<std::size_t>(nbytes));
   pos += static_cast<std::size_t>(nbytes);
-  return v;
+  return big_endian(raw) >> (64 - 8 * nbytes);
+}
+
+// One-shot fixed-width value; it fits the small-string buffer, so building
+// it allocates nothing.
+Bytes be_bytes(uint64_t v, int nbytes) {
+  Bytes b;
+  put_be(v, nbytes, b);
+  return b;
+}
+
+uint64_t f64_order_bits(double v) {
+  uint64_t bits = std::bit_cast<uint64_t>(v);
+  // Standard order-preserving transform for IEEE-754.
+  if (bits >> 63) {
+    bits = ~bits;  // negative: flip everything
+  } else {
+    bits |= (1ull << 63);  // positive: set sign bit
+  }
+  return bits;
 }
 
 }  // namespace
@@ -38,16 +59,7 @@ void encode_i64(int64_t v, Bytes& out) {
   put_be(static_cast<uint64_t>(v) ^ (1ull << 63), 8, out);
 }
 
-void encode_f64(double v, Bytes& out) {
-  uint64_t bits = std::bit_cast<uint64_t>(v);
-  // Standard order-preserving transform for IEEE-754.
-  if (bits >> 63) {
-    bits = ~bits;  // negative: flip everything
-  } else {
-    bits |= (1ull << 63);  // positive: set sign bit
-  }
-  put_be(bits, 8, out);
-}
+void encode_f64(double v, Bytes& out) { put_be(f64_order_bits(v), 8, out); }
 
 uint32_t decode_u32(BytesView in, std::size_t& pos) {
   return static_cast<uint32_t>(get_be(in, pos, 4));
@@ -71,26 +83,9 @@ double decode_f64(BytesView in, std::size_t& pos) {
   return std::bit_cast<double>(bits);
 }
 
-Bytes u32_key(uint32_t v) {
-  Bytes b;
-  b.reserve(4);
-  encode_u32(v, b);
-  return b;
-}
-
-Bytes u64_key(uint64_t v) {
-  Bytes b;
-  b.reserve(8);
-  encode_u64(v, b);
-  return b;
-}
-
-Bytes f64_value(double v) {
-  Bytes b;
-  b.reserve(8);
-  encode_f64(v, b);
-  return b;
-}
+Bytes u32_key(uint32_t v) { return be_bytes(v, 4); }
+Bytes u64_key(uint64_t v) { return be_bytes(v, 8); }
+Bytes f64_value(double v) { return be_bytes(f64_order_bits(v), 8); }
 
 uint32_t as_u32(BytesView b) {
   std::size_t pos = 0;

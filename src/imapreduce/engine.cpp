@@ -31,13 +31,16 @@ class TaskEmitter : public IterEmitter {
  public:
   // `part` (optional) overrides the flat hash for the main shuffle routing —
   // the conf's partitioner (DESIGN.md §9). Aux side-output keys live in their
-  // own small key space and always hash.
+  // own small key space and always hash. `batch_records` is reserved when a
+  // partition buffer takes its first record after being shipped (moved
+  // out), so a batch fills without regrowing from zero.
   TaskEmitter(int num_partitions, int num_aux_partitions,
-              const Partitioner* part = nullptr)
+              const Partitioner* part = nullptr, std::size_t batch_records = 0)
       : buffers_(static_cast<std::size_t>(num_partitions)),
         aux_buffers_(static_cast<std::size_t>(
             std::max(0, num_aux_partitions))),
-        part_(part) {}
+        part_(part),
+        batch_records_(batch_records) {}
 
   void emit(Bytes key, Bytes value) override {
     uint32_t p = part_ != nullptr
@@ -48,7 +51,9 @@ class TaskEmitter : public IterEmitter {
       (*partition_counts_)[p] += 1;
     }
     if (track_held_) held_bytes_ += key.size() + value.size() + 8;
-    buffers_[p].emplace_back(std::move(key), std::move(value));
+    KVVec& buf = buffers_[p];
+    if (buf.capacity() == 0) buf.reserve(batch_records_);
+    buf.emplace_back(std::move(key), std::move(value));
     ++emitted_;
   }
 
@@ -91,6 +96,7 @@ class TaskEmitter : public IterEmitter {
   std::vector<KVVec> buffers_;
   std::vector<KVVec> aux_buffers_;
   const Partitioner* part_;
+  std::size_t batch_records_;
   int64_t emitted_ = 0;
   SpaceSaving* sketch_ = nullptr;
   std::vector<int64_t>* partition_counts_ = nullptr;
@@ -742,7 +748,14 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     };
   }
 
-  TaskEmitter emitter(T_, num_aux, conf_.partitioner.get());
+  // Batches ship at buffer_records, so that many slots are reserved per
+  // shipped buffer. A budgeted task ships or spills by bytes instead and
+  // grows buffers on demand: a reservation is memory the budget does not see.
+  TaskEmitter emitter(
+      T_, num_aux, conf_.partitioner.get(),
+      conf_.max_task_memory_bytes > 0
+          ? 0
+          : static_cast<std::size_t>(conf_.buffer_records));
 
   // Memory governance (DESIGN.md §10): the budget covers the held shuffle
   // buffers plus the sort arena scratch. Map-side spilling stays off under
@@ -2823,6 +2836,13 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
     session_reset_all_ = reset_all;
     session_baseline_dir_ = converged_path(new_session - 1);
     epoch_seeds_ = std::move(seeds_by_part);
+  }
+  // The epoch before last's baseline backs no epoch any more (recovery
+  // reloads only the current one), so collect it now instead of letting
+  // every epoch's dump live until teardown. The trailing slash keeps
+  // converged-1 from matching converged-10.
+  if (new_session >= 2) {
+    cluster_.dfs().remove_prefix(converged_path(new_session - 2) + "/");
   }
   decided_ = base;
   epoch_base_ = base;

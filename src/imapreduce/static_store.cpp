@@ -18,6 +18,9 @@ void StaticStore::assert_no_live_probes() const {
 void StaticStore::build(KVVec sorted) {
   assert_no_live_probes();
   records_ = std::move(sorted);
+  // Held for the task's lifetime: drop the growth slack the partition read
+  // left behind (sort_records permutes in place and keeps it).
+  records_.shrink_to_fit();
   reindex();
 }
 

@@ -9,9 +9,28 @@ namespace imr {
 
 namespace {
 
-// Below this size the indirection of the prefix pass costs more than the
-// string compares it saves; fall back to a direct comparison sort.
-constexpr std::size_t kPrefixSortThreshold = 64;
+// Below this size a direct comparison sort beats building the packed
+// entries; the radix kernel starts at this size.
+constexpr std::size_t kDirectSortThreshold = 64;
+
+// Radix buckets at or below this size finish with insertion sort under the
+// full comparator: a 256-way counting pass costs more than a few dozen
+// integer compares.
+constexpr std::size_t kSmallBucket = 24;
+
+// Digits of the key order: the 8 big-endian key-prefix bytes, then the
+// clamped key length.
+constexpr int kKeyDigits = 9;
+
+// Clamped lengths: a key longer than its 8-byte prefix reads as 9, a value
+// longer than its 4-byte prefix as 5. Such a string is ordered after every
+// shorter string with the same padded prefix, and against another long one
+// only by a full compare.
+constexpr uint32_t kLongKey = 9;
+constexpr uint32_t kLongValue = 5;
+
+// The arrival index shares a word with the two 4-bit lengths.
+constexpr std::size_t kMaxRadixRecords = std::size_t{1} << 24;
 
 void sort_records_direct(KVVec& records, bool sort_values) {
   if (sort_values) {
@@ -22,97 +41,184 @@ void sort_records_direct(KVVec& records, bool sort_values) {
   }
 }
 
-struct PrefixEntry {
-  uint64_t prefix;
-  uint32_t index;
+uint32_t clamped_len(const Bytes& b, uint32_t long_len) {
+  return b.size() < long_len ? static_cast<uint32_t>(b.size()) : long_len;
+}
+
+// One record's sort handle: 16 bytes, the size of the (prefix, index) pair
+// the comparison sort used, so a budgeted task's arena charge is unchanged.
+// A byte string of at most w bytes is ordered exactly by (zero-padded
+// big-endian w-byte prefix, length), so the comparator below touches the
+// records only for keys over 8 bytes and values over 4 whose prefixes tie.
+struct RadixEntry {
+  uint64_t key_prefix;
+  uint32_t value_prefix;  // first 4 value bytes; 0 unless values sort
+  uint32_t meta;          // index << 8 | key length << 4 | value length
+
+  uint32_t index() const { return meta >> 8; }
+  uint32_t key_len() const { return (meta >> 4) & 0xf; }
+  uint32_t value_len() const { return meta & 0xf; }
 };
+static_assert(sizeof(RadixEntry) == 16);
+
+// The full record order: key, then value when `sort_values`, then arrival
+// index. A strict total order on entries, so the sorted permutation is
+// unique whatever algorithm produces it.
+struct EntryLess {
+  const KV* records;
+  bool sort_values;
+
+  bool operator()(const RadixEntry& a, const RadixEntry& b) const {
+    if (a.key_prefix != b.key_prefix) return a.key_prefix < b.key_prefix;
+    if (a.key_len() != b.key_len()) return a.key_len() < b.key_len();
+    if (a.key_len() == kLongKey) {
+      const int c = records[a.index()].key.compare(records[b.index()].key);
+      if (c != 0) return c < 0;
+    }
+    if (sort_values) {
+      if (a.value_prefix != b.value_prefix) {
+        return a.value_prefix < b.value_prefix;
+      }
+      if (a.value_len() != b.value_len()) return a.value_len() < b.value_len();
+      if (a.value_len() == kLongValue) {
+        const int c =
+            records[a.index()].value.compare(records[b.index()].value);
+        if (c != 0) return c < 0;
+      }
+    }
+    return a.index() < b.index();
+  }
+};
+
+unsigned key_digit(const RadixEntry& e, int digit) {
+  return digit < 8 ? static_cast<unsigned>(e.key_prefix >> (56 - 8 * digit)) &
+                         0xffu
+                   : e.key_len();
+}
+
+void insertion_sort(RadixEntry* a, std::size_t n, const EntryLess& less) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const RadixEntry e = a[i];
+    std::size_t j = i;
+    for (; j > 0 && less(e, a[j - 1]); --j) a[j] = a[j - 1];
+    a[j] = e;
+  }
+}
+
+// In-place MSD radix (American flag) sort of a[0, n) on the key digits from
+// `digit` on. `varies` has bit d set when digit d differs somewhere in the
+// whole input: constant digits are skipped without a counting pass, and a
+// digit on which this bucket does not vary is skipped after one.
+void radix_sort(RadixEntry* a, std::size_t n, int digit, unsigned varies,
+                const EntryLess& less) {
+  while (true) {
+    if (n <= kSmallBucket) {
+      insertion_sort(a, n, less);
+      return;
+    }
+    while (digit < kKeyDigits && !(varies & (1u << digit))) ++digit;
+    if (digit == kKeyDigits) {
+      // Key digits used up: every entry shares its prefix and clamped
+      // length. Long keys, values and the index tiebreak decide.
+      std::sort(a, a + n, less);
+      return;
+    }
+    uint32_t count[256] = {};
+    for (std::size_t i = 0; i < n; ++i) ++count[key_digit(a[i], digit)];
+    if (count[key_digit(a[0], digit)] == n) {
+      ++digit;
+      continue;
+    }
+    std::size_t next[256];
+    std::size_t end[256];
+    std::size_t sum = 0;
+    for (unsigned b = 0; b < 256; ++b) {
+      next[b] = sum;
+      sum += count[b];
+      end[b] = sum;
+    }
+    // Permute by cycle leading: carry an entry to its bucket's next free
+    // slot, pick up the entry found there, repeat until one belongs here.
+    for (unsigned b = 0; b < 256; ++b) {
+      while (next[b] < end[b]) {
+        RadixEntry e = a[next[b]];
+        unsigned d = key_digit(e, digit);
+        while (d != b) {
+          std::swap(e, a[next[d]++]);
+          d = key_digit(e, digit);
+        }
+        a[next[b]++] = e;
+      }
+    }
+    std::size_t start = 0;
+    for (unsigned b = 0; b < 256; ++b) {
+      if (count[b] > 1) radix_sort(a + start, count[b], digit + 1, varies, less);
+      start += count[b];
+    }
+    return;
+  }
+}
 
 }  // namespace
 
 void sort_records(KVVec& records, bool sort_values) {
-  const std::size_t n = records.size();
-  if (n < kPrefixSortThreshold || n > UINT32_MAX) {
-    sort_records_direct(records, sort_values);
-    return;
-  }
-
-  std::vector<PrefixEntry> order(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order[i] = PrefixEntry{key_prefix_u64(records[i].key),
-                           static_cast<uint32_t>(i)};
-  }
-  // Prefix inequality decides without touching the strings; ties (keys
-  // sharing their first 8 bytes, or short keys colliding with pad bytes)
-  // fall back to the full compare. The index tiebreak makes the key-only
-  // mode stable and the full mode a deterministic permutation even among
-  // bitwise-equal records.
-  std::sort(order.begin(), order.end(),
-            [&records, sort_values](const PrefixEntry& a,
-                                    const PrefixEntry& b) {
-              if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              const KV& x = records[a.index];
-              const KV& y = records[b.index];
-              int c = x.key.compare(y.key);
-              if (c != 0) return c < 0;
-              if (sort_values) {
-                c = x.value.compare(y.value);
-                if (c != 0) return c < 0;
-              }
-              return a.index < b.index;
-            });
-  KVVec sorted;
-  sorted.reserve(n);
-  for (const PrefixEntry& e : order) {
-    sorted.push_back(std::move(records[e.index]));
-  }
-  records = std::move(sorted);
+  RecordArena scratch;  // maps nothing until the kernel allocates
+  sort_records(records, sort_values, scratch);
 }
 
 void sort_records(KVVec& records, bool sort_values, RecordArena& arena) {
   const std::size_t n = records.size();
-  if (n < kPrefixSortThreshold || n > UINT32_MAX) {
+  if (n < kDirectSortThreshold || n > kMaxRadixRecords) {
     sort_records_direct(records, sort_values);
     return;
   }
 
   arena.reset();
-  PrefixEntry* order = arena.alloc_array<PrefixEntry>(n);
+  RadixEntry* order = arena.alloc_array<RadixEntry>(n);
+  uint64_t prefix_diff = 0;
+  bool len_differs = false;
   for (std::size_t i = 0; i < n; ++i) {
-    order[i] = PrefixEntry{key_prefix_u64(records[i].key),
-                           static_cast<uint32_t>(i)};
+    const KV& kv = records[i];
+    RadixEntry& e = order[i];
+    e.key_prefix = key_prefix_u64(kv.key);
+    uint32_t meta = static_cast<uint32_t>(i) << 8 |
+                    clamped_len(kv.key, kLongKey) << 4;
+    if (sort_values) {
+      e.value_prefix = static_cast<uint32_t>(key_prefix_u64(kv.value) >> 32);
+      meta |= clamped_len(kv.value, kLongValue);
+    } else {
+      e.value_prefix = 0;
+    }
+    e.meta = meta;
+    prefix_diff |= e.key_prefix ^ order[0].key_prefix;
+    len_differs |= e.key_len() != order[0].key_len();
   }
-  std::sort(order, order + n,
-            [&records, sort_values](const PrefixEntry& a,
-                                    const PrefixEntry& b) {
-              if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              const KV& x = records[a.index];
-              const KV& y = records[b.index];
-              int c = x.key.compare(y.key);
-              if (c != 0) return c < 0;
-              if (sort_values) {
-                c = x.value.compare(y.value);
-                if (c != 0) return c < 0;
-              }
-              return a.index < b.index;
-            });
+  unsigned varies = len_differs ? 1u << 8 : 0u;
+  for (int d = 0; d < 8; ++d) {
+    if ((prefix_diff >> (56 - 8 * d)) & 0xff) varies |= 1u << d;
+  }
+  radix_sort(order, n, 0, varies, EntryLess{records.data(), sort_values});
+
   // Apply the permutation in place, cycle by cycle: position i must receive
-  // records[order[i].index]. Each cycle rotates through one saved tmp; a
+  // records[order[i].index()]. Each cycle rotates through one saved tmp; a
   // placed slot is marked by pointing its index at itself, so every record
-  // moves exactly once and no scratch KVVec is needed (this is where the
-  // arena overload beats the plain one even before allocator reuse).
+  // moves exactly once and no second record buffer is needed.
+  auto mark_placed = [order](std::size_t slot) {
+    order[slot].meta = static_cast<uint32_t>(slot) << 8;
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    std::size_t src = order[i].index;
+    std::size_t src = order[i].index();
     if (src == i) continue;
     KV tmp = std::move(records[i]);
     std::size_t dst = i;
     while (src != i) {
       records[dst] = std::move(records[src]);
-      order[dst].index = static_cast<uint32_t>(dst);
+      mark_placed(dst);
       dst = src;
-      src = order[dst].index;
+      src = order[dst].index();
     }
     records[dst] = std::move(tmp);
-    order[dst].index = static_cast<uint32_t>(dst);
+    mark_placed(dst);
   }
 }
 

@@ -2,10 +2,12 @@
 //
 // The record compute path is the per-iteration hot loop of every figure, so
 // the primitives here avoid redundant byte-string work:
-//   - sort_records normalizes each key to an 8-byte big-endian prefix and
-//     sorts (prefix, index) pairs, falling back to a full compare only on
-//     prefix ties (codecs are order-preserving, so prefix order == key
-//     order); the permutation is applied by moving records once.
+//   - sort_records packs each record into a 16-byte entry (big-endian key
+//     and value prefixes, clamped lengths, arrival index), radix-sorts the
+//     entries in place on the key digits, finishes small or exhausted
+//     buckets with an integer comparator (a full byte compare only for
+//     strings longer than their prefix), and applies the permutation in
+//     place by moving each record once (DESIGN.md §6).
 //   - GroupCursor iterates key runs of a sorted buffer as spans — no value
 //     copies, one key compare per record.
 //   - GroupValues adapts a run to the std::vector<Bytes> shape user
@@ -32,13 +34,13 @@ namespace imr {
 // `sort_values` — deterministic reduce input independent of arrival order).
 // Key-only sorting is stable; full sorting breaks exact (key, value) ties by
 // original position, so the result is deterministic in both modes.
+// Allocates its 16-byte-per-record scratch from a local unbudgeted arena.
 void sort_records(KVVec& records, bool sort_values);
 
-// Arena-backed variant: the (prefix, index) order array comes from `arena`
-// (reset first — the scratch is dead after the call) and the permutation is
-// applied in place by cycle rotation, so the sort allocates nothing from the
-// global heap once the arena's blocks are pooled. Byte-identical results to
-// the plain overload.
+// The sort kernel: the entry array comes from `arena` (reset first — the
+// scratch is dead after the call), so once the arena's blocks are pooled the
+// sort allocates nothing from the global heap. Same result as the plain
+// overload.
 void sort_records(KVVec& records, bool sort_values, RecordArena& arena);
 
 // ---------------------------------------------------------------------------

@@ -33,6 +33,59 @@ void sort_records_reference(KVVec& records, bool sort_values) {
   }
 }
 
+// The (prefix, index) comparison sort sort_records shipped before the radix
+// kernel. Its comparator is a strict total order on records plus arrival
+// index, so it pins one exact permutation — the one the radix kernel must
+// reproduce, down to which of two bitwise-equal records comes first.
+struct PrefixEntry {
+  uint64_t prefix;
+  uint32_t index;
+};
+
+uint64_t prefix_reference(BytesView key) {
+  uint64_t p = 0;
+  const std::size_t n = key.size() < 8 ? key.size() : 8;
+  for (std::size_t i = 0; i < n; ++i) {
+    p |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
+         << (56 - 8 * i);
+  }
+  return p;
+}
+
+void sort_records_prefix_reference(KVVec& records, bool sort_values) {
+  const std::size_t n = records.size();
+  if (n < 64 || n > UINT32_MAX) {
+    sort_records_reference(records, sort_values);
+    return;
+  }
+
+  std::vector<PrefixEntry> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[i] = PrefixEntry{prefix_reference(records[i].key),
+                           static_cast<uint32_t>(i)};
+  }
+  std::sort(order.begin(), order.end(),
+            [&records, sort_values](const PrefixEntry& a,
+                                    const PrefixEntry& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              const KV& x = records[a.index];
+              const KV& y = records[b.index];
+              int c = x.key.compare(y.key);
+              if (c != 0) return c < 0;
+              if (sort_values) {
+                c = x.value.compare(y.value);
+                if (c != 0) return c < 0;
+              }
+              return a.index < b.index;
+            });
+  KVVec sorted;
+  sorted.reserve(n);
+  for (const PrefixEntry& e : order) {
+    sorted.push_back(std::move(records[e.index]));
+  }
+  records = std::move(sorted);
+}
+
 void for_each_group_reference(
     const KVVec& sorted,
     const std::function<void(const Bytes& key,
@@ -141,6 +194,203 @@ TEST(RecordPathSort, PrefixCollisionsFallBackToFullCompare) {
   sort_records_reference(expected, true);
   sort_records(records, true);
   expect_identical(expected, records);
+}
+
+// --- Radix kernel vs the prefix sort: exact permutation ---------------------
+
+// Arrival positions of the sorted records, read off heap buffer identity:
+// moving a std::string that outgrew its small buffer keeps its data pointer,
+// so a record whose value (or else key) is heap-allocated can be traced back
+// to where it arrived. Records with two small strings read as -1 — their
+// bytes are still compared by expect_identical.
+template <typename Sort>
+std::vector<long> sorted_origins(KVVec& records, Sort sort) {
+  std::map<const char*, long> origin;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const KV& kv = records[i];
+    if (kv.value.capacity() > Bytes().capacity()) {
+      origin[kv.value.data()] = static_cast<long>(i);
+    } else if (kv.key.capacity() > Bytes().capacity()) {
+      origin[kv.key.data()] = static_cast<long>(i);
+    }
+  }
+  sort(records);
+  std::vector<long> out;
+  out.reserve(records.size());
+  for (const KV& kv : records) {
+    auto it = origin.find(kv.value.data());
+    if (it == origin.end()) it = origin.find(kv.key.data());
+    out.push_back(it == origin.end() ? -1 : it->second);
+  }
+  return out;
+}
+
+// Sorts copies of `input` with the prefix-sort oracle and with both
+// sort_records overloads (the arena one on a reused arena), in both modes,
+// and requires the same bytes and the same arrival permutation. Returns how
+// many records were traceable by heap identity.
+std::size_t expect_radix_matches_prefix(const KVVec& input, RecordArena& arena,
+                                        const std::string& what) {
+  std::size_t traced = 0;
+  for (bool sort_values : {false, true}) {
+    SCOPED_TRACE(what + (sort_values ? " sort_values" : " key-only"));
+    KVVec expected = input;
+    const std::vector<long> want = sorted_origins(expected, [&](KVVec& r) {
+      sort_records_prefix_reference(r, sort_values);
+    });
+    KVVec plain = input;
+    const std::vector<long> got_plain = sorted_origins(
+        plain, [&](KVVec& r) { sort_records(r, sort_values); });
+    KVVec pooled = input;
+    const std::vector<long> got_arena = sorted_origins(
+        pooled, [&](KVVec& r) { sort_records(r, sort_values, arena); });
+    expect_identical(expected, plain);
+    expect_identical(expected, pooled);
+    EXPECT_EQ(want, got_plain);
+    EXPECT_EQ(want, got_arena);
+    traced = static_cast<std::size_t>(
+        std::count_if(want.begin(), want.end(), [](long o) { return o >= 0; }));
+  }
+  return traced;
+}
+
+// Random byte string of 0..max_len bytes over a tiny alphabet that includes
+// 0x00 and 0xff, so pads collide with real zero bytes and prefixes tie.
+Bytes small_alphabet_bytes(Rng& rng, std::size_t max_len) {
+  static const char kAlphabet[] = {'\0', '\x01', 'a', '\xff'};
+  Bytes b(rng.uniform(max_len + 1), '\0');
+  for (char& c : b) c = kAlphabet[rng.uniform(4)];
+  return b;
+}
+
+TEST(RecordPathRadix, MatchesPrefixSortAcrossSizes) {
+  // Sizes straddle the 64-record direct-sort threshold; with four byte
+  // values per digit, the first radix pass of n = 88/89 leaves buckets
+  // around the 24-entry small-bucket cut-off.
+  RecordArena arena;
+  for (std::size_t n : {0u, 1u, 23u, 24u, 25u, 63u, 64u, 65u, 88u, 89u,
+                        300u, 2000u}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed * 1000 + n);
+      KVVec input;
+      for (std::size_t i = 0; i < n; ++i) {
+        input.emplace_back(small_alphabet_bytes(rng, 16),
+                           small_alphabet_bytes(rng, 16));
+      }
+      expect_radix_matches_prefix(input, arena,
+                                  "n=" + std::to_string(n) +
+                                      " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(RecordPathRadix, SmallBucketCutoffBoundaries) {
+  // 50 records with unique leading bytes plus one bucket of exactly
+  // 23/24/25 records that share their first 7 bytes: the shared bucket is
+  // either insertion-sorted whole or radix-split once more.
+  RecordArena arena;
+  for (std::size_t bucket : {23u, 24u, 25u}) {
+    Rng rng(bucket);
+    KVVec input;
+    for (int i = 0; i < 50; ++i) {
+      Bytes key = u64_key(rng.next_u64());
+      key[0] = static_cast<char>(0x10 + i);
+      input.emplace_back(std::move(key), f64_value(rng.uniform_real(0, 1)));
+    }
+    for (std::size_t i = 0; i < bucket; ++i) {
+      Bytes key("\x80\x00\x00\x00\x00\x00\x00", 7);
+      key.push_back(static_cast<char>(rng.uniform(5)));
+      input.emplace_back(std::move(key), small_alphabet_bytes(rng, 9));
+    }
+    expect_radix_matches_prefix(input, arena,
+                                "bucket=" + std::to_string(bucket));
+  }
+}
+
+TEST(RecordPathRadix, PadCollisionsOrderByLength) {
+  // "a" < "a\0" < "a\0\0": identical zero-padded prefixes, so only the
+  // length digit separates them — as keys and as values.
+  const Bytes variants[] = {Bytes("a"), Bytes("a\0", 2), Bytes("a\0\0", 3),
+                            Bytes("a\0\0\0\0\0\0\0", 8),
+                            Bytes("a\0\0\0\0\0\0\0\0", 9), Bytes(),
+                            Bytes("\0", 1)};
+  Rng rng(5);
+  KVVec input;
+  for (int i = 0; i < 500; ++i) {
+    input.emplace_back(variants[rng.uniform(std::size(variants))],
+                       variants[rng.uniform(std::size(variants))]);
+  }
+  RecordArena arena;
+  expect_radix_matches_prefix(input, arena, "pad collisions");
+
+  KVVec sorted = input;
+  sort_records(sorted, /*sort_values=*/true);
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+}
+
+TEST(RecordPathRadix, LongKeysSharingFirstEightBytes) {
+  // Every key is "prefix8!" + a tail: all key digits tie and the kernel
+  // must fall back to full byte compares, in both the long-key and the
+  // long-value position. Some tails are empty (8-byte keys), so long and
+  // exactly-8 keys mix inside one prefix.
+  Rng rng(6);
+  KVVec input;
+  for (int i = 0; i < 3000; ++i) {
+    Bytes key = Bytes("prefix8!") + small_alphabet_bytes(rng, 8);
+    Bytes value = Bytes("valprfx!") + small_alphabet_bytes(rng, 8);
+    input.emplace_back(std::move(key), std::move(value));
+  }
+  RecordArena arena;
+  expect_radix_matches_prefix(input, arena, "long keys");
+}
+
+TEST(RecordPathRadix, HotKeyExhaustsKeyDigits) {
+  // 12k records of one u32 key among a scatter of others: the hot bucket
+  // survives every key digit and is finished by the comparator, which in
+  // key-only mode must keep arrival order and otherwise order values.
+  Rng rng(7);
+  KVVec input;
+  for (int i = 0; i < 15000; ++i) {
+    const bool hot = i % 5 != 0;
+    input.emplace_back(u32_key(hot ? 42 : static_cast<uint32_t>(rng.uniform(1000))),
+                       f64_value(rng.uniform_real(-1, 1)));
+  }
+  RecordArena arena;
+  expect_radix_matches_prefix(input, arena, "hot key");
+
+  // Shuffle-shaped input: u32 keys, ~8 records per key, random f64 values.
+  KVVec shuffle;
+  for (int i = 0; i < 16384; ++i) {
+    shuffle.emplace_back(u32_key(static_cast<uint32_t>(rng.uniform(2048))),
+                         f64_value(rng.uniform_real(0, 1)));
+  }
+  expect_radix_matches_prefix(shuffle, arena, "shuffle shape");
+}
+
+TEST(RecordPathRadix, BitwiseEqualRecordsKeepArrivalOrder) {
+  // Few distinct (key, value) pairs, each repeated many times, with
+  // heap-sized strings so every record's arrival slot stays traceable: the
+  // index tiebreak must place equal records exactly as the oracle does.
+  const Bytes keys[] = {Bytes(20, 'k'), Bytes(20, 'k') + "x", Bytes(17, 'j')};
+  const Bytes values[] = {Bytes(16, 'v'), Bytes(18, 'v'), Bytes(16, 'u')};
+  Rng rng(8);
+  KVVec input;
+  for (int i = 0; i < 2000; ++i) {
+    input.emplace_back(keys[rng.uniform(3)], values[rng.uniform(3)]);
+  }
+  RecordArena arena;
+  EXPECT_EQ(expect_radix_matches_prefix(input, arena,
+                                        "bitwise-equal heap records"),
+            input.size());
+
+  // Short bitwise-equal records under a key-only sort: stability is visible
+  // through the values, which differ.
+  KVVec small;
+  for (int i = 0; i < 1000; ++i) {
+    small.emplace_back(u32_key(static_cast<uint32_t>(rng.uniform(4))),
+                       u32_key(static_cast<uint32_t>(i)));
+  }
+  expect_radix_matches_prefix(small, arena, "key-only stability");
 }
 
 // --- Grouping ---------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -489,6 +490,49 @@ TEST(SessionConf, EmptyDeltaIsANoOpEpoch) {
       engine.open_session(make_conf(SesAlgo::kSssp, "in", "out", 3));
   RunReport epoch = session.apply_update(StaticDelta{});
   EXPECT_TRUE(epoch.converged);
+  session.close();
+
+  auto fresh = testutil::free_cluster(3, 4, 4);
+  Sssp::setup(*fresh, g, 0, "in");
+  IterativeEngine cold_engine(*fresh);
+  cold_engine.run(make_conf(SesAlgo::kSssp, "in", "out", 3));
+  EXPECT_EQ(read_state(*fresh, "out"), read_state(*cluster, "out"));
+}
+
+// Baselines this DFS holds: the epoch numbers of every converged-<s> dump.
+std::set<int> converged_baselines(Cluster& cluster) {
+  std::set<int> epochs;
+  const std::string marker = "/converged-";
+  for (const std::string& path : cluster.dfs().list("ckpt/")) {
+    const std::size_t at = path.find(marker);
+    if (at == std::string::npos) continue;
+    epochs.insert(std::stoi(path.substr(at + marker.size())));
+  }
+  return epochs;
+}
+
+// Each epoch dumps converged-<s>; once epoch s resumes against
+// converged-(s-1), converged-(s-2) backs nothing and is collected. After
+// every update the DFS holds exactly the last two baselines, also once the
+// epoch numbers reach two digits, and the session still closes on the
+// cold-run bytes.
+TEST(SessionGc, OnlyTheLastTwoConvergedBaselinesStayLive) {
+  constexpr int kUpdates = 12;
+  Graph g = base_graph(SesAlgo::kSssp, 2);
+  auto cluster = testutil::free_cluster(3, 4, 4);
+  Sssp::setup(*cluster, g, 0, "in");
+  IterativeEngine engine(*cluster);
+  JobSession session =
+      engine.open_session(make_conf(SesAlgo::kSssp, "in", "out", 3));
+  EXPECT_EQ(converged_baselines(*cluster), (std::set<int>{0}));
+  for (int s = 1; s <= kUpdates; ++s) {
+    Graph next = mutate(g, static_cast<uint64_t>(s), Mutation::kRefine,
+                        /*weighted=*/true);
+    EXPECT_TRUE(session.apply_update(Sssp::static_delta(g, next)).converged);
+    g = std::move(next);
+    EXPECT_EQ(converged_baselines(*cluster), (std::set<int>{s - 1, s}))
+        << "after update " << s;
+  }
   session.close();
 
   auto fresh = testutil::free_cluster(3, 4, 4);

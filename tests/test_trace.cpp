@@ -564,5 +564,50 @@ TEST(TraceChaos, FaultInstantsAndRecoverySpansAppear) {
   EXPECT_TRUE(recovery_span) << "no recovery span on the master track";
 }
 
+// A worker death inside a budgeted spill write gets its own instant name on
+// the dying task's timeline (not the "fault:?" fallback). Bulk SSSP under a
+// 512-byte task budget spills at every reduce of every iteration, so the
+// fault always finds a live spill write to die in.
+TEST(TraceChaos, SpillWriteFaultInstantIsNamed) {
+  ::unsetenv("IMR_TRACE");
+  TraceGuard guard;
+
+  auto cluster = testutil::free_cluster(3, 4, 4);
+  Graph g = make_sssp_graph("dblp", 0.001, 5);
+  Sssp::setup(*cluster, g, 0, "in");
+  IterJobConf conf = Sssp::imapreduce("in", "out", /*max_iterations=*/6);
+  conf.num_tasks = 4;
+  conf.checkpoint_every = 2;
+  conf.max_task_memory_bytes = 512;
+
+  FaultSchedule schedule;
+  FaultEvent e;
+  e.worker = 1;
+  e.at_iteration = 3;
+  e.point = FaultPoint::kSpillWrite;
+  schedule.add(e);
+
+  InvariantExpectations expect;
+  expect.expected_recoveries = 1;
+  expect.expected_parts = 4;
+  auto result = chaos::run_chaos_job(*cluster, conf, schedule,
+                                     ChannelFaultConfig{}, expect);
+  EXPECT_TRUE(result.violations.empty())
+      << ::testing::PrintToString(result.violations);
+  chaos::expect_all_faults_consumed(*cluster);
+
+  bool spill_fault = false, unnamed_fault = false;
+  for (const auto& t : TraceRecorder::instance().snapshot()) {
+    for (const auto& ev : t.events) {
+      if (ev.type != TraceEventType::kInstant) continue;
+      const std::string name = ev.name;
+      if (name == "fault:spill_write") spill_fault = true;
+      if (name == "fault:?") unnamed_fault = true;
+    }
+  }
+  EXPECT_TRUE(spill_fault) << "no fault:spill_write instant recorded";
+  EXPECT_FALSE(unnamed_fault) << "a fault instant fell back to fault:?";
+}
+
 }  // namespace
 }  // namespace imr
