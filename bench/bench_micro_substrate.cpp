@@ -221,6 +221,47 @@ void BM_SortRecordsPrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_SortRecordsPrefix)->Arg(1024)->Arg(16384);
 
+// The whole reduce-side record path on the same input, A/B: sort the
+// buffer in place and walk it with GroupCursor (the reduce loop before the
+// index-ordered cursor), vs sort only the index and walk the records through
+// it where they arrived. Both move every value into the reducer's vector and
+// sort from a pooled arena, as the engines' reduce tasks do.
+void BM_SortRecordsGroup(benchmark::State& state) {
+  const KVVec base = shuffle_input(static_cast<int>(state.range(0)));
+  RecordArena arena;
+  for (auto _ : state) {
+    KVVec copy = base;
+    sort_records(copy, true, arena);
+    std::size_t bytes = 0;
+    GroupCursor groups(copy);
+    GroupValues vals;
+    while (groups.next()) {
+      bytes += groups.key().size();
+      for (const Bytes& v : vals.take(copy, groups)) bytes += v.size();
+    }
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SortRecordsGroup)->Arg(1024)->Arg(16384);
+
+void BM_SortIndexGroup(benchmark::State& state) {
+  const KVVec base = shuffle_input(static_cast<int>(state.range(0)));
+  RecordArena arena;
+  for (auto _ : state) {
+    KVVec copy = base;
+    std::size_t bytes = 0;
+    IndexGroupCursor groups(copy, sort_index(copy, true, arena));
+    while (groups.next()) {
+      bytes += groups.key().size();
+      for (const Bytes& v : groups.take_values()) bytes += v.size();
+    }
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SortIndexGroup)->Arg(1024)->Arg(16384);
+
 // Static-data join: the per-record state->static lookup of iterative map
 // (§3.2.2). 16k static records, probed with every key once per iteration, in
 // shuffled (arrival-like) order.

@@ -1414,28 +1414,28 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       send_eos(ctx, next_maps.at(i), i, k, gen,
                TrafficCategory::kReduceToMap);
     }
-    KVVec records;
-    int64_t held = 0;  // budget charge for `records`, released on spill/use
+    BatchCollector collected;
+    int64_t held = 0;  // budget charge for `collected`, released on spill/use
     // Sorts the collected prefix and writes it out as one spill run on
     // stream 0. Returns true when an injected crash killed the task
     // mid-spill (the torn half-run is registered, so the unwind drops it).
     auto spill_collected = [&]() -> bool {
       {
         TraceSpan spill_span("spill_write", ctx.vt(), k, gen);
+        KVVec run = collected.take();
         {
           ThreadCpuTimer sort_cpu;
-          sort_records(records, conf_.deterministic_reduce, arena);
+          sort_records(run, conf_.deterministic_reduce, arena);
           ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
         }
         if (cluster_.consume_fault(ctx.worker(), FaultPoint::kSpillWrite, k,
                                    &ctx.vt())) {
-          spills.write_torn_run(0, std::move(records), &ctx.vt());
+          spills.write_torn_run(0, std::move(run), &ctx.vt());
           fail_task(ctx, i, k, gen);
           return true;
         }
-        spills.write_run(0, std::move(records), &ctx.vt());
+        spills.write_run(0, std::move(run), &ctx.vt());
       }
-      records = KVVec{};
       budget.release(held);
       held = 0;
       cluster_.metrics().inc("imr_reduce_spills");
@@ -1552,15 +1552,14 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
           uint32_t end = hr.u32();
           if (task != static_cast<uint32_t>(i)) continue;
           IMR_CHECK(begin <= end && end <= all.size());
-          records.insert(records.end(), all.begin() + begin,
-                         all.begin() + end);
+          collected.add(KVVec(all.begin() + begin, all.begin() + end));
           if (budget.limited()) {
             std::size_t sliced = 0;
             for (uint32_t x = begin; x < end; ++x) sliced += all[x].wire_size();
             charge_collected(sliced);
           }
         }
-        if (budget.over() && !records.empty()) {
+        if (budget.over() && !collected.empty()) {
           if (spill_collected()) return;
         }
         ++eos_seen;
@@ -1571,16 +1570,10 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
         KVVec batch = msg->take_records();
         const std::size_t batch_bytes =
             budget.limited() ? wire_size(batch) : 0;
-        if (records.empty()) {
-          records = std::move(batch);
-        } else {
-          records.insert(records.end(),
-                         std::make_move_iterator(batch.begin()),
-                         std::make_move_iterator(batch.end()));
-        }
+        collected.add(std::move(batch));
         if (budget.limited()) {
           charge_collected(batch_bytes);
-          if (budget.over() && !records.empty()) {
+          if (budget.over() && !collected.empty()) {
             if (spill_collected()) return;
           }
         }
@@ -1647,13 +1640,21 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     // slowest map, so wall times are nearly identical across workers.
     prev_end_vt = ctx.vt().now_ns();
     const bool spilled = spills.has_runs(0);
+    KVVec records = collected.take();
+    std::span<const uint32_t> order;
     {
-      // With spilled runs, `records` is the in-memory TAIL: sorted here with
-      // the same comparator the runs were sorted with, it becomes the merge's
-      // last source.
+      // In memory, only the sorted index is built: the grouping pass below
+      // reads the records through it where they arrived. With spilled runs,
+      // `records` is the in-memory TAIL: sorted here with the same
+      // comparator the runs were sorted with, it becomes the merge's last
+      // source.
       TraceSpan sort_span("sort", ctx.vt(), k, gen);
       ThreadCpuTimer sort_cpu;
-      sort_records(records, conf_.deterministic_reduce, arena);
+      if (spilled) {
+        sort_records(records, conf_.deterministic_reduce, arena);
+      } else {
+        order = sort_index(records, conf_.deterministic_reduce, arena);
+      }
       ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
     }
 
@@ -1693,6 +1694,8 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     KVVec output;  // full iteration output, kept for the aux copy
     KVVec ckpt_workset;  // changed records of a checkpoint iteration
     KVVec pending_batch;
+    const std::size_t batch_records =
+        static_cast<std::size_t>(conf_.buffer_records);
     double local_distance = 0;
     int64_t changed_count = 0;
     static const Bytes kNoPrev;
@@ -1729,32 +1732,37 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
         }
         if (last_phase) {
           auto it = state_map.find(kv.key);
-          const Bytes& prev = it == state_map.end() ? Bytes{} : it->second;
+          const Bytes& prev = it == state_map.end() ? kNoPrev : it->second;
           local_distance += reducer->distance(kv.key, prev, kv.value);
-          state_map[kv.key] = kv.value;
+          if (it == state_map.end()) {
+            state_map.emplace(kv.key, kv.value);
+          } else {
+            it->second = kv.value;
+          }
         }
         if (aux_from_reduce) output.push_back(kv);
         pending_batch.push_back(std::move(kv));
       }
-      if (pending_batch.size() >=
-          static_cast<std::size_t>(conf_.buffer_records)) {
+      if (pending_batch.size() >= batch_records) {
         // Charge the compute consumed so far, then ship — the batch's
         // availability time reflects the work done to produce it.
         ctx.charge_compute(cpu.elapsed_ns());
         cpu.reset();
         ship_batch(std::move(pending_batch));
+        // A batch filled up, so the next one likely will: size it once, as
+        // TaskEmitter does, unless a budget the reservation would escape
+        // governs the task. The first batch grows on demand — a workset
+        // iteration may ship far fewer records than it collected.
         pending_batch = KVVec{};
+        if (!budget.limited()) pending_batch.reserve(batch_records);
       }
     };
     if (!spilled) {
-      // Zero-copy grouping: the cursor walks key runs in place and the
-      // values adapter MOVES each run's values out of `records` (consumed by
-      // this pass) instead of deep-copying them per group.
-      GroupCursor groups(records);
-      GroupValues group_vals;
-      while (groups.next()) {
-        reduce_group(groups.key(), group_vals.take(records, groups));
-      }
+      // Index-order grouping: the cursor walks key runs through the sorted
+      // index and MOVES each run's values out of `records` (consumed by this
+      // pass) from where they arrived — no permutation, no deep copies.
+      IndexGroupCursor groups(records, order);
+      while (groups.next()) reduce_group(groups.key(), groups.take_values());
     } else {
       // Out-of-core path (DESIGN.md §10): stream the k-way merge over the
       // spilled runs plus the sorted in-memory tail. Each source is sorted
@@ -1995,11 +2003,12 @@ void JobRun::run_aux_reduce(int j, int gen, int start_iter,
 
   std::unique_ptr<IterReducer> reducer = conf_.aux->reducer();
   reducer->configure(conf_.params);
+  RecordArena arena;
 
   int k = start_iter;
   while (true) {
     TraceSpan iter_span("aux_reduce_iter", ctx.vt(), k, gen);
-    KVVec records;
+    BatchCollector collected;
     int eos_seen = 0;
     int rollback_to = -1;
     LoopEvent event = LoopEvent::kIterationReady;
@@ -2023,10 +2032,7 @@ void JobRun::run_aux_reduce(int j, int gen, int start_iter,
       if (msg->kind == NetMessage::Kind::kEos) {
         ++eos_seen;
       } else {
-        KVVec batch = msg->take_records();
-        records.insert(records.end(),
-                       std::make_move_iterator(batch.begin()),
-                       std::make_move_iterator(batch.end()));
+        collected.add(msg->take_records());
       }
     }
     if (event == LoopEvent::kTerminate) return;
@@ -2038,13 +2044,13 @@ void JobRun::run_aux_reduce(int j, int gen, int start_iter,
     }
 
     ThreadCpuTimer cpu;
-    sort_records(records, conf_.deterministic_reduce);
+    KVVec records = collected.take();
     KVVec output;
     CollectEmitter out(output);
-    GroupCursor groups(records);
-    GroupValues group_vals;
+    IndexGroupCursor groups(
+        records, sort_index(records, conf_.deterministic_reduce, arena));
     while (groups.next()) {
-      reducer->reduce(groups.key(), group_vals.take(records, groups), out);
+      reducer->reduce(groups.key(), groups.take_values(), out);
     }
     ctx.charge_compute(cpu.elapsed_ns());
 

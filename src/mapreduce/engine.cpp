@@ -350,7 +350,7 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
     SpillSet spills(cluster_.dfs(), cluster_.metrics(),
                     job_tag + "/r" + std::to_string(r),
                     reduce_worker[static_cast<std::size_t>(r)]);
-    KVVec records;
+    BatchCollector collected;
     int64_t held = 0;
     int eos_seen = 0;
     while (eos_seen < M) {
@@ -362,23 +362,17 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
         KVVec batch = msg->take_records();
         const std::size_t batch_bytes =
             budget.limited() ? wire_size(batch) : 0;
-        if (records.empty()) {
-          records = std::move(batch);
-        } else {
-          records.insert(records.end(),
-                         std::make_move_iterator(batch.begin()),
-                         std::make_move_iterator(batch.end()));
-        }
+        collected.add(std::move(batch));
         if (budget.limited()) {
           budget.charge(static_cast<int64_t>(batch_bytes));
           held += static_cast<int64_t>(batch_bytes);
-          if (budget.over() && !records.empty()) {
+          if (budget.over() && !collected.empty()) {
             TraceSpan spill_span("spill_write", ctx.vt());
+            KVVec run = collected.take();
             ThreadCpuTimer sort_cpu;
-            sort_records(records, conf.deterministic_reduce, arena);
+            sort_records(run, conf.deterministic_reduce, arena);
             ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-            spills.write_run(0, std::move(records), &ctx.vt());
-            records = KVVec{};
+            spills.write_run(0, std::move(run), &ctx.vt());
             budget.release(held);
             held = 0;
           }
@@ -387,10 +381,18 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
     }
 
     const bool spilled = spills.has_runs(0);
+    KVVec records = collected.take();
+    std::span<const uint32_t> order;
     {
+      // In memory, only the sorted index is built and the groups are read
+      // through it; a spilled tail is sorted as the merge's last source.
       TraceSpan sort_span("sort", ctx.vt());
       ThreadCpuTimer sort_cpu;
-      sort_records(records, conf.deterministic_reduce, arena);
+      if (spilled) {
+        sort_records(records, conf.deterministic_reduce, arena);
+      } else {
+        order = sort_index(records, conf.deterministic_reduce, arena);
+      }
       ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
     }
 
@@ -401,12 +403,10 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
     ThreadCpuTimer cpu;
     int64_t groups = 0;
     if (!spilled) {
-      GroupCursor cursor(records);
-      GroupValues group_vals;
+      IndexGroupCursor cursor(records, order);
       while (cursor.next()) {
         ++groups;
-        reducer->reduce(cursor.key(), group_vals.take(records, cursor),
-                        out_emitter);
+        reducer->reduce(cursor.key(), cursor.take_values(), out_emitter);
       }
     } else {
       // Streaming k-way merge over the spilled runs plus the sorted

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 
 #include "common/hash.h"
 
@@ -31,15 +32,6 @@ constexpr uint32_t kLongValue = 5;
 
 // The arrival index shares a word with the two 4-bit lengths.
 constexpr std::size_t kMaxRadixRecords = std::size_t{1} << 24;
-
-void sort_records_direct(KVVec& records, bool sort_values) {
-  if (sort_values) {
-    std::sort(records.begin(), records.end());
-  } else {
-    std::stable_sort(records.begin(), records.end(),
-                     [](const KV& a, const KV& b) { return a.key < b.key; });
-  }
-}
 
 uint32_t clamped_len(const Bytes& b, uint32_t long_len) {
   return b.size() < long_len ? static_cast<uint32_t>(b.size()) : long_len;
@@ -159,27 +151,63 @@ void radix_sort(RadixEntry* a, std::size_t n, int digit, unsigned varies,
   }
 }
 
-}  // namespace
-
-void sort_records(KVVec& records, bool sort_values) {
-  RecordArena scratch;  // maps nothing until the kernel allocates
-  sort_records(records, sort_values, scratch);
+// The same order as EntryLess, on arrival positions: sorts the inputs the
+// radix kernel does not take.
+void sort_index_direct(const KVVec& records, bool sort_values, uint32_t* order,
+                       std::size_t n) {
+  std::iota(order, order + n, uint32_t{0});
+  std::sort(order, order + n, [&records, sort_values](uint32_t a, uint32_t b) {
+    int c = records[a].key.compare(records[b].key);
+    if (c != 0) return c < 0;
+    if (sort_values) {
+      c = records[a].value.compare(records[b].value);
+      if (c != 0) return c < 0;
+    }
+    return a < b;
+  });
 }
 
-void sort_records(KVVec& records, bool sort_values, RecordArena& arena) {
+// The in-place applier: sort_records' second step.
+void apply_order(KVVec& records, std::span<uint32_t> order) {
+  // Cycle by cycle: position i must receive records[order[i]]. Each cycle
+  // rotates through one saved tmp; a placed slot is marked by pointing its
+  // index at itself, so every record moves exactly once and no second
+  // record buffer is needed. Consumes the index.
+  const std::size_t n = order.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t src = order[i];
+    if (src == i) continue;
+    KV tmp = std::move(records[i]);
+    std::size_t dst = i;
+    while (src != i) {
+      records[dst] = std::move(records[src]);
+      order[dst] = static_cast<uint32_t>(dst);
+      dst = src;
+      src = order[dst];
+    }
+    records[dst] = std::move(tmp);
+    order[dst] = static_cast<uint32_t>(dst);
+  }
+}
+
+}  // namespace
+
+std::span<uint32_t> sort_index(const KVVec& records, bool sort_values,
+                               RecordArena& arena) {
   const std::size_t n = records.size();
+  arena.reset();
   if (n < kDirectSortThreshold || n > kMaxRadixRecords) {
-    sort_records_direct(records, sort_values);
-    return;
+    uint32_t* order = arena.alloc_array<uint32_t>(n);
+    sort_index_direct(records, sort_values, order, n);
+    return {order, n};
   }
 
-  arena.reset();
-  RadixEntry* order = arena.alloc_array<RadixEntry>(n);
+  RadixEntry* entries = arena.alloc_array<RadixEntry>(n);
   uint64_t prefix_diff = 0;
   bool len_differs = false;
   for (std::size_t i = 0; i < n; ++i) {
     const KV& kv = records[i];
-    RadixEntry& e = order[i];
+    RadixEntry& e = entries[i];
     e.key_prefix = key_prefix_u64(kv.key);
     uint32_t meta = static_cast<uint32_t>(i) << 8 |
                     clamped_len(kv.key, kLongKey) << 4;
@@ -190,36 +218,58 @@ void sort_records(KVVec& records, bool sort_values, RecordArena& arena) {
       e.value_prefix = 0;
     }
     e.meta = meta;
-    prefix_diff |= e.key_prefix ^ order[0].key_prefix;
-    len_differs |= e.key_len() != order[0].key_len();
+    prefix_diff |= e.key_prefix ^ entries[0].key_prefix;
+    len_differs |= e.key_len() != entries[0].key_len();
   }
   unsigned varies = len_differs ? 1u << 8 : 0u;
   for (int d = 0; d < 8; ++d) {
     if ((prefix_diff >> (56 - 8 * d)) & 0xff) varies |= 1u << d;
   }
-  radix_sort(order, n, 0, varies, EntryLess{records.data(), sort_values});
+  radix_sort(entries, n, 0, varies, EntryLess{records.data(), sort_values});
 
-  // Apply the permutation in place, cycle by cycle: position i must receive
-  // records[order[i].index()]. Each cycle rotates through one saved tmp; a
-  // placed slot is marked by pointing its index at itself, so every record
-  // moves exactly once and no second record buffer is needed.
-  auto mark_placed = [order](std::size_t slot) {
-    order[slot].meta = static_cast<uint32_t>(slot) << 8;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t src = order[i].index();
-    if (src == i) continue;
-    KV tmp = std::move(records[i]);
-    std::size_t dst = i;
-    while (src != i) {
-      records[dst] = std::move(records[src]);
-      mark_placed(dst);
-      dst = src;
-      src = order[dst].index();
-    }
-    records[dst] = std::move(tmp);
-    mark_placed(dst);
+  // Compact the sorted entries into the front of their own block: index j
+  // lands in bytes [4j, 4j + 4), inside entry j / 4 <= j, which has already
+  // been read. The scratch stays the 16 bytes per record the sort needed.
+  uint32_t* order = reinterpret_cast<uint32_t*>(entries);
+  for (std::size_t j = 0; j < n; ++j) {
+    const uint32_t index = entries[j].index();
+    order[j] = index;
   }
+  return {order, n};
+}
+
+void sort_records(KVVec& records, bool sort_values) {
+  RecordArena scratch;  // unbudgeted, freed on return
+  sort_records(records, sort_values, scratch);
+}
+
+void sort_records(KVVec& records, bool sort_values, RecordArena& arena) {
+  apply_order(records, sort_index(records, sort_values, arena));
+}
+
+const std::vector<Bytes>& IndexGroupCursor::take_values() {
+  vals_.clear();
+  for (std::size_t j = begin_; j < end_; ++j) {
+    vals_.push_back(std::move(data_[order_[j]].value));
+  }
+  return vals_;
+}
+
+KVVec BatchCollector::take() {
+  if (batches_.empty()) return {};
+  // The first batch becomes the buffer: senders reserve a full batch, so
+  // a small iteration's input usually fits without moving a record.
+  KVVec out = std::move(batches_.front());
+  out.reserve(records_);
+  for (std::size_t b = 1; b < batches_.size(); ++b) {
+    KVVec& batch = batches_[b];
+    out.insert(out.end(), std::make_move_iterator(batch.begin()),
+               std::make_move_iterator(batch.end()));
+    batch = KVVec{};
+  }
+  batches_.clear();
+  records_ = 0;
+  return out;
 }
 
 // ---------------------------------------------------------------------------

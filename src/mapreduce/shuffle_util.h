@@ -1,15 +1,25 @@
 // Sort/group/combine utilities shared by both engines' reduce sides.
 //
 // The record compute path is the per-iteration hot loop of every figure, so
-// the primitives here avoid redundant byte-string work:
-//   - sort_records packs each record into a 16-byte entry (big-endian key
-//     and value prefixes, clamped lengths, arrival index), radix-sorts the
+// the primitives here avoid redundant byte-string work and record moves
+// (DESIGN.md §6):
+//   - sort_index packs each record into a 16-byte entry (big-endian key and
+//     value prefixes, clamped lengths, arrival index), radix-sorts the
 //     entries in place on the key digits, finishes small or exhausted
 //     buckets with an integer comparator (a full byte compare only for
-//     strings longer than their prefix), and applies the permutation in
-//     place by moving each record once (DESIGN.md §6).
-//   - GroupCursor iterates key runs of a sorted buffer as spans — no value
-//     copies, one key compare per record.
+//     strings longer than their prefix), and compacts the sorted entries
+//     into an arrival-position index in their own arena block. The records
+//     do not move.
+//   - Two appliers consume that index. sort_records permutes the records in
+//     place (each moves once) for callers that need a sorted KVVec: spill
+//     runs, state dumps, the static store, combine_sorted. IndexGroupCursor
+//     walks the key runs through the index and moves each value straight
+//     from its arrival slot into the reducer's vector — the reduce loops of
+//     both engines group this way and never permute.
+//   - BatchCollector keeps a reduce's shuffled batches as they arrive and
+//     concatenates them once, sized exactly, instead of regrowing a buffer.
+//   - GroupCursor iterates key runs of an already-sorted buffer as spans —
+//     no value copies, one key compare per record.
 //   - GroupValues adapts a run to the std::vector<Bytes> shape user
 //     Reducer::reduce signatures expect, either borrowing (moving values out
 //     of a consumed buffer — zero deep copies for heap-allocated values) or
@@ -20,6 +30,7 @@
 //     sort at all when it does not.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -30,18 +41,86 @@
 
 namespace imr {
 
-// Sorts records by key (and by value within equal keys when
-// `sort_values` — deterministic reduce input independent of arrival order).
-// Key-only sorting is stable; full sorting breaks exact (key, value) ties by
-// original position, so the result is deterministic in both modes.
-// Allocates its 16-byte-per-record scratch from a local unbudgeted arena.
+// The record order both appliers below share: by key, then by value within
+// equal keys when `sort_values` (deterministic reduce input independent of
+// arrival order), then by arrival position. A strict total order, so the
+// result is unique: key-only sorting is stable, and exact (key, value) ties
+// keep their arrival order.
+//
+// Returns that order as arrival positions — entry j is the index in
+// `records` of the j-th record — without moving any record. The index lives
+// in `arena` (reset first) and stays valid until the arena's next reset;
+// the radix kernel's 16 bytes of scratch per record are the whole charge.
+std::span<uint32_t> sort_index(const KVVec& records, bool sort_values,
+                               RecordArena& arena);
+
+// Sorts `records` in place into sort_index's order: the index, then one
+// move per record. Allocates its scratch from a local unbudgeted arena.
 void sort_records(KVVec& records, bool sort_values);
 
-// The sort kernel: the entry array comes from `arena` (reset first — the
-// scratch is dead after the call), so once the arena's blocks are pooled the
-// sort allocates nothing from the global heap. Same result as the plain
-// overload.
+// The same with the scratch from `arena` (reset first — the scratch is dead
+// after the call), so once the arena's blocks are pooled the sort allocates
+// nothing from the global heap.
 void sort_records(KVVec& records, bool sort_values, RecordArena& arena);
+
+// Iterates the key runs of `records` in the order sort_index returned for
+// them, leaving the records where they arrived. take_values() MOVES the
+// current run's values out of `records` (consumed by the pass) into a
+// recycled vector, in the sorted order, so each value moves once — no
+// permutation, no deep copies. The same (key, values) sequence as
+// GroupCursor + GroupValues::take over the sort_records output.
+//
+//   IndexGroupCursor groups(records, sort_index(records, sv, arena));
+//   while (groups.next()) reduce(groups.key(), groups.take_values());
+class IndexGroupCursor {
+ public:
+  IndexGroupCursor(KVVec& records, std::span<const uint32_t> order)
+      : data_(records.data()), order_(order) {}
+
+  // Advances to the next key run; false when the index is exhausted.
+  bool next() {
+    begin_ = end_;
+    const std::size_t n = order_.size();
+    if (begin_ >= n) return false;
+    const Bytes& k = data_[order_[begin_]].key;
+    ++end_;
+    while (end_ < n && data_[order_[end_]].key == k) ++end_;
+    return true;
+  }
+
+  const Bytes& key() const { return data_[order_[begin_]].key; }
+  const std::vector<Bytes>& take_values();
+
+ private:
+  KV* data_;
+  std::span<const uint32_t> order_;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::vector<Bytes> vals_;
+};
+
+// A reduce task's shuffled input as it arrives: the batches are kept as
+// they came and concatenated once, with an exact reserve, when one buffer
+// is needed (to sort and group, or to spill) — instead of regrowing a buffer
+// batch by batch. Each batch is freed as it is drained, so the peak is the
+// concatenated buffer plus one batch, and no capacity outlives a take().
+class BatchCollector {
+ public:
+  void add(KVVec batch) {
+    if (batch.empty()) return;
+    records_ += batch.size();
+    batches_.push_back(std::move(batch));
+  }
+
+  bool empty() const { return batches_.empty(); }
+
+  // The collected records in arrival order; leaves the collector empty.
+  KVVec take();
+
+ private:
+  std::vector<KVVec> batches_;
+  std::size_t records_ = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Streaming k-way merge over sorted runs (out-of-core reduce, DESIGN.md §10)

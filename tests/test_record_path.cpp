@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -391,6 +392,192 @@ TEST(RecordPathRadix, BitwiseEqualRecordsKeepArrivalOrder) {
                        u32_key(static_cast<uint32_t>(i)));
   }
   expect_radix_matches_prefix(small, arena, "key-only stability");
+}
+
+// --- Sorted index vs the in-place sort --------------------------------------
+
+// The record order spelled out: arrival positions stably sorted by key (and
+// value). Stability is the arrival tiebreak.
+std::vector<uint32_t> order_reference(const KVVec& records, bool sort_values) {
+  std::vector<uint32_t> order(records.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<uint32_t>(i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&records, sort_values](uint32_t a, uint32_t b) {
+                     const KV& x = records[a];
+                     const KV& y = records[b];
+                     if (x.key != y.key) return x.key < y.key;
+                     return sort_values && x.value < y.value;
+                   });
+  return order;
+}
+
+// sort_index must return exactly the permutation sort_records applies, in
+// both modes: the reference order, the same bytes at every position, and
+// for every record traceable by heap identity the same arrival slot.
+void expect_index_matches_sort(const KVVec& input, RecordArena& arena,
+                               const std::string& what) {
+  for (bool sort_values : {false, true}) {
+    SCOPED_TRACE(what + (sort_values ? " sort_values" : " key-only"));
+    KVVec sorted = input;
+    const std::vector<long> origins = sorted_origins(
+        sorted, [&](KVVec& r) { sort_records(r, sort_values, arena); });
+    const std::span<uint32_t> order = sort_index(input, sort_values, arena);
+    ASSERT_EQ(order.size(), input.size());
+    EXPECT_TRUE(std::ranges::equal(order, order_reference(input, sort_values)));
+    std::size_t byte_mismatches = 0;
+    std::size_t origin_mismatches = 0;
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      const KV& kv = input[order[j]];
+      if (kv.key != sorted[j].key || kv.value != sorted[j].value) {
+        ++byte_mismatches;
+      }
+      if (origins[j] >= 0 && static_cast<long>(order[j]) != origins[j]) {
+        ++origin_mismatches;
+      }
+    }
+    EXPECT_EQ(byte_mismatches, 0u);
+    EXPECT_EQ(origin_mismatches, 0u);
+  }
+}
+
+// A value that outgrows the small-string buffer, so sorted_origins can trace
+// every record: small-alphabet bytes padded past 15 bytes.
+Bytes traceable_value(Rng& rng) {
+  return small_alphabet_bytes(rng, 4) + Bytes(16, 'v');
+}
+
+TEST(RecordPathIndex, MatchesSortRecordsAcrossSizes) {
+  // Both sides of the 64-record direct-sort threshold; short keys and
+  // values over a tiny alphabet tie on prefixes and pad bytes.
+  RecordArena arena;
+  for (std::size_t n : {0u, 1u, 2u, 23u, 63u, 64u, 65u, 89u, 300u, 2000u}) {
+    for (uint64_t seed : {1u, 2u}) {
+      Rng rng(seed * 7919 + n);
+      KVVec input;
+      for (std::size_t i = 0; i < n; ++i) {
+        input.emplace_back(small_alphabet_bytes(rng, 10),
+                           i % 2 == 0 ? traceable_value(rng)
+                                      : small_alphabet_bytes(rng, 6));
+      }
+      expect_index_matches_sort(input, arena,
+                                "n=" + std::to_string(n) +
+                                    " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(RecordPathIndex, MatchesSortRecordsOver64k) {
+  // Reduce-shaped: u32 keys, ~8 records per key, every value traceable.
+  Rng rng(41);
+  KVVec input;
+  for (int i = 0; i < 70000; ++i) {
+    input.emplace_back(u32_key(static_cast<uint32_t>(rng.uniform(8750))),
+                       traceable_value(rng));
+  }
+  RecordArena arena;
+  expect_index_matches_sort(input, arena, "n=70000");
+}
+
+TEST(RecordPathIndex, LongKeysWithTiedPrefixes) {
+  // Keys over 8 bytes whose prefixes all tie, mixed with exactly-8-byte
+  // ones: the order comes from full compares the index must reproduce.
+  Rng rng(42);
+  KVVec input;
+  for (int i = 0; i < 3000; ++i) {
+    input.emplace_back(Bytes("prefix8!") + small_alphabet_bytes(rng, 6),
+                       i % 3 == 0 ? Bytes("valprfx!") +
+                                        small_alphabet_bytes(rng, 4)
+                                  : traceable_value(rng));
+  }
+  RecordArena arena;
+  expect_index_matches_sort(input, arena, "long keys");
+}
+
+TEST(RecordPathIndex, HotKeyBucket) {
+  // One key holds 4/5 of the records and exhausts every key digit; values
+  // repeat, so exact (key, value) ties fall to the arrival order.
+  Rng rng(43);
+  KVVec input;
+  for (int i = 0; i < 15000; ++i) {
+    const bool hot = i % 5 != 0;
+    input.emplace_back(
+        u32_key(hot ? 42 : static_cast<uint32_t>(rng.uniform(1000))),
+        Bytes(16 + rng.uniform(3), 'h'));
+  }
+  RecordArena arena;
+  expect_index_matches_sort(input, arena, "hot key");
+}
+
+// Records each reduce call's key and values in call order.
+class RecordingReducer : public Reducer {
+ public:
+  void reduce(const Bytes& key, const std::vector<Bytes>& values,
+              Emitter& /*out*/) override {
+    calls.emplace_back(key, values);
+  }
+  std::vector<std::pair<Bytes, std::vector<Bytes>>> calls;
+};
+
+TEST(RecordPathIndex, CursorFeedsReducerLikeGroupCursor) {
+  RecordArena arena;
+  for (std::size_t n : {0u, 1u, 63u, 64u, 3000u, 70000u}) {
+    for (bool sort_values : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (sort_values ? " sort_values" : " key-only"));
+      const KVVec input = nasty_corpus(44 + n, n);
+      KVVec out;
+      VectorEmitter emitter(out);
+
+      KVVec sorted = input;
+      sort_records(sorted, sort_values);
+      RecordingReducer expected;
+      GroupCursor groups(sorted);
+      GroupValues vals;
+      while (groups.next()) {
+        expected.reduce(groups.key(), vals.take(sorted, groups), emitter);
+      }
+
+      KVVec arrived = input;
+      RecordingReducer actual;
+      IndexGroupCursor cursor(arrived, sort_index(arrived, sort_values, arena));
+      while (cursor.next()) {
+        actual.reduce(cursor.key(), cursor.take_values(), emitter);
+      }
+      EXPECT_EQ(expected.calls, actual.calls);
+      // The records stayed where they arrived: keys intact, values taken.
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(arrived[i].key, input[i].key) << "record " << i;
+      }
+    }
+  }
+}
+
+TEST(RecordPathCollect, ConcatenatesBatchesInArrivalOrder) {
+  const KVVec input = nasty_corpus(45, 500);
+  BatchCollector collected;
+  EXPECT_TRUE(collected.empty());
+  EXPECT_TRUE(collected.take().empty());
+  // Uneven batches with empty ones between them, as shuffle senders ship.
+  std::size_t at = 0;
+  for (std::size_t len : {0u, 1u, 7u, 0u, 200u, 92u, 200u}) {
+    collected.add(KVVec(input.begin() + static_cast<long>(at),
+                        input.begin() + static_cast<long>(at + len)));
+    at += len;
+  }
+  ASSERT_EQ(at, input.size());
+  EXPECT_FALSE(collected.empty());
+  expect_identical(input, collected.take());
+  EXPECT_TRUE(collected.empty());
+
+  // One batch is handed back as it came, without a copy.
+  KVVec single = input;
+  const KV* data = single.data();
+  collected.add(std::move(single));
+  const KVVec taken = collected.take();
+  EXPECT_EQ(taken.data(), data);
+  EXPECT_TRUE(collected.take().empty());
 }
 
 // --- Grouping ---------------------------------------------------------------
